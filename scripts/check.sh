@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 check, in six named phases:
 #
-#   fast  — normal build + every test not labelled `slow`
+#   fast  — normal build + every test not labelled `slow`, including
+#           wire_golden_test (the exact bytes of every wire op)
 #   slow  — the exhaustive sweeps (fault-injection truncation sweep,
 #           recovery property seeds), same build
 #   fault — storage fault-tolerance suite with a widened seed sweep

@@ -26,12 +26,6 @@ except where noted):
                        rankable labflow::Mutex / SharedMutex / CondVar so
                        the lock-rank validator and Clang's thread-safety
                        analysis see them (common/lock_rank.h).
-  opcode-sync          Cross-file invariant on the wire protocol: every
-                       enumerator of net/wire.h's Op enum must have a
-                       `case Op::kX` dispatch arm in net/server.cc and a
-                       client-side reference in net/client.cc. Findings are
-                       reported against the enumerator's line in wire.h, so
-                       a deliberate asymmetry is waived there.
   guarded-by-coverage  A class that owns a labflow Mutex/SharedMutex must
                        say, for every mutable data member, which lock guards
                        it (LABFLOW_GUARDED_BY / LABFLOW_PT_GUARDED_BY) — or
@@ -391,40 +385,6 @@ class Linter:
                         "LABFLOW_GUARDED_BY; annotate which mutex guards "
                         "it, or NOLINT with why it needs none")
 
-    # -- opcode-sync ----------------------------------------------------------
-
-    OP_ENUMERATOR = re.compile(r"^\s*(k\w+)\s*=\s*\d+\s*,")
-
-    def check_opcode_sync(self, wire_rel, wire_text, server_text,
-                          client_text):
-        """Every Op enumerator needs a server dispatch arm and a client
-        reference. Reported against wire.h so a deliberate asymmetry is
-        waived next to the enumerator it concerns."""
-        server = strip_code(server_text)
-        client = strip_code(client_text)
-        in_enum = False
-        for i, raw in enumerate(wire_text.splitlines(), 1):
-            line = strip_strings_and_comments(raw)
-            if re.search(r"\benum\s+class\s+Op\b", line):
-                in_enum = True
-                continue
-            if in_enum and "}" in line:
-                break
-            if not in_enum:
-                continue
-            m = self.OP_ENUMERATOR.match(line)
-            if not m or waived(raw, "opcode-sync"):
-                continue
-            op = m.group(1)
-            if not re.search(rf"\bcase\s+Op\s*::\s*{op}\b", server):
-                self.report(wire_rel, i, "opcode-sync",
-                            f"Op::{op} has no `case Op::{op}` dispatch arm "
-                            "in net/server.cc")
-            if not re.search(rf"\bOp\s*::\s*{op}\b", client):
-                self.report(wire_rel, i, "opcode-sync",
-                            f"Op::{op} is never referenced in net/client.cc "
-                            "(missing RemoteSession stub?)")
-
 
 # ---- tree driver ------------------------------------------------------------
 
@@ -438,14 +398,6 @@ def run_tree(linter):
             if path.suffix in EXTS and path.is_file():
                 linter.check_text(path.relative_to(ROOT),
                                   path.read_text(encoding="utf-8"))
-    wire = ROOT / "src/net/wire.h"
-    server = ROOT / "src/net/server.cc"
-    client = ROOT / "src/net/client.cc"
-    if wire.is_file() and server.is_file() and client.is_file():
-        linter.check_opcode_sync(wire.relative_to(ROOT),
-                                 wire.read_text(encoding="utf-8"),
-                                 server.read_text(encoding="utf-8"),
-                                 client.read_text(encoding="utf-8"))
 
 
 # ---- self-test --------------------------------------------------------------
@@ -539,27 +491,6 @@ FIXTURES = [
      "}\n", False),  # guard scope closed before the I/O
 ]
 
-WIRE_OK = ("enum class Op : uint8_t {\n"
-           "  kPing = 1,\n"
-           "};\n")
-WIRE_WAIVED = ("enum class Op : uint8_t {\n"
-               "  kPing = 1,  // NOLINT(opcode-sync): fixture\n"
-               "};\n")
-SERVER_WITH = "switch (op) { case Op::kPing: break; }\n"
-SERVER_WITHOUT = "switch (op) { default: break; }\n"
-CLIENT_WITH = "conn->Call(Op::kPing, 0, body);\n"
-CLIENT_WITHOUT = "// no ops\n"
-
-OPCODE_FIXTURES = [
-    # (wire, server, client, expected number of opcode-sync findings)
-    (WIRE_OK, SERVER_WITH, CLIENT_WITH, 0),
-    (WIRE_OK, SERVER_WITHOUT, CLIENT_WITH, 1),   # missing dispatch arm
-    (WIRE_OK, SERVER_WITH, CLIENT_WITHOUT, 1),   # missing client stub
-    (WIRE_OK, SERVER_WITHOUT, CLIENT_WITHOUT, 2),
-    (WIRE_WAIVED, SERVER_WITHOUT, CLIENT_WITHOUT, 0),  # NOLINT waives both
-]
-
-
 def self_test():
     failures = []
     for idx, (rule, rel, snippet, should_fire) in enumerate(FIXTURES):
@@ -572,22 +503,13 @@ def self_test():
                 f"fixture {idx} [{rule}]: {verb} on:\n{snippet}"
                 + (("  findings: " + "; ".join(fired) + "\n") if fired
                    else ""))
-    for idx, (wire, server, client, want) in enumerate(OPCODE_FIXTURES):
-        lt = Linter()
-        lt.check_opcode_sync(Path("src/net/wire.h"), wire, server, client)
-        got = [f for f in lt.findings if "[opcode-sync]" in f]
-        if len(got) != want:
-            failures.append(
-                f"opcode fixture {idx}: expected {want} finding(s), got "
-                f"{len(got)}: {'; '.join(got)}")
     if failures:
         for f in failures:
             print(f, file=sys.stderr)
         print(f"lint.py --self-test: {len(failures)} fixture failure(s)",
               file=sys.stderr)
         return 1
-    total = len(FIXTURES) + len(OPCODE_FIXTURES)
-    print(f"lint.py --self-test: {total} fixtures ok")
+    print(f"lint.py --self-test: {len(FIXTURES)} fixtures ok")
     return 0
 
 

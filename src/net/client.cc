@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "common/status_macros.h"
@@ -30,6 +31,13 @@ Result<std::string> LiftResponse(std::string frame) {
   LABFLOW_RETURN_IF_ERROR(h.status);
   return std::string(frame.substr(frame.size() - d.remaining()));
 }
+
+template <typename R>
+struct ResultValue;
+template <typename T>
+struct ResultValue<Result<T>> {
+  using type = T;
+};
 
 }  // namespace
 
@@ -199,37 +207,6 @@ RemoteSession::~RemoteSession() {
   (void)closed;  // best-effort: the server reaps the lease on disconnect too
 }
 
-Status RemoteSession::Begin() {
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kBegin, {}));
-  (void)body;
-  in_txn_ = true;
-  return Status::OK();
-}
-
-Status RemoteSession::BeginReadOnly() {
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kBeginReadOnly, {}));
-  (void)body;
-  in_txn_ = true;
-  return Status::OK();
-}
-
-Status RemoteSession::Commit() {
-  Result<std::string> body = Call(Op::kCommit, {});
-  // Commit ends the transaction whether it succeeded or was an abort
-  // verdict; only a transport failure leaves the state unknown (and then
-  // the connection is poisoned anyway).
-  in_txn_ = false;
-  if (!body.ok()) return body.status();
-  return Status::OK();
-}
-
-Status RemoteSession::Abort() {
-  Result<std::string> body = Call(Op::kAbort, {});
-  in_txn_ = false;
-  if (!body.ok()) return body.status();
-  return Status::OK();
-}
-
 Status RemoteSession::RunTransaction(const std::function<Status()>& body) {
   if (in_txn_) {
     return Status::InvalidArgument(
@@ -263,252 +240,46 @@ Status RemoteSession::RunTransaction(const std::function<Status()>& body) {
   }
 }
 
-Result<uint32_t> RemoteSession::DdlCall(Op op, std::string_view body) {
-  LABFLOW_ASSIGN_OR_RETURN(std::string resp, Call(op, body));
-  Decoder d(resp);
-  LABFLOW_ASSIGN_OR_RETURN(uint32_t id, d.GetU32());
-  LABFLOW_ASSIGN_OR_RETURN(std::string blob, d.GetString());
-  LABFLOW_ASSIGN_OR_RETURN(schema_, labbase::Schema::Decode(blob));
-  return id;
-}
-
-Result<labbase::ClassId> RemoteSession::DefineMaterialClass(
-    std::string_view name) {
+template <typename Ret, Op kOp, OpKind kKind, const Tally& kTally,
+          typename... A>
+Ret RemoteSession::Invoke(const A&... args) {
+  if constexpr (kTally.counter != nullptr && !kTally.on_success) {
+    ++(stats_.*kTally.counter);
+  }
   Encoder e;
-  e.PutString(name);
-  return DdlCall(Op::kDefineMaterialClass, e.buffer());
+  (Wire<WireType<A>>::Put(&e, args), ...);
+  Result<std::string> body = conn_->Call(kOp, session_id_, e.buffer());
+  // Commit and Abort end the transaction whether they succeed or return an
+  // abort verdict; only a transport failure leaves the state unknown (and
+  // then the connection is poisoned anyway).
+  if constexpr (kKind == OpKind::kEndTxn) in_txn_ = false;
+  if (!body.ok()) return body.status();
+  if constexpr (kKind == OpKind::kBeginTxn) in_txn_ = true;
+  if constexpr (kTally.counter != nullptr && kTally.on_success) {
+    ++(stats_.*kTally.counter);
+  }
+  if constexpr (std::is_same_v<Ret, Status>) {
+    return Status::OK();
+  } else {
+    using T = typename ResultValue<Ret>::type;
+    Decoder d(body.value());
+    if constexpr (kKind == OpKind::kDefine) {
+      LABFLOW_ASSIGN_OR_RETURN(T id, Wire<T>::Get(&d));
+      LABFLOW_ASSIGN_OR_RETURN(std::string blob, d.GetString());
+      LABFLOW_ASSIGN_OR_RETURN(schema_, labbase::Schema::Decode(blob));
+      return id;
+    } else {
+      return Wire<T>::Get(&d);
+    }
+  }
 }
 
-Result<labbase::ClassId> RemoteSession::DefineStepClass(
-    std::string_view name, const std::vector<std::string>& attr_names) {
-  Encoder e;
-  e.PutString(name);
-  e.PutU64(attr_names.size());
-  for (const std::string& attr : attr_names) e.PutString(attr);
-  return DdlCall(Op::kDefineStepClass, e.buffer());
-}
-
-Result<labbase::StateId> RemoteSession::DefineState(std::string_view name) {
-  Encoder e;
-  e.PutString(name);
-  return DdlCall(Op::kDefineState, e.buffer());
-}
-
-Result<Oid> RemoteSession::CreateMaterial(labbase::ClassId material_class,
-                                          std::string_view name,
-                                          labbase::StateId initial_state,
-                                          Timestamp created) {
-  Encoder e;
-  e.PutU32(material_class);
-  e.PutString(name);
-  e.PutU32(initial_state);
-  EncodeTimestamp(&e, created);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kCreateMaterial, e.buffer()));
-  ++stats_.materials_created;
-  Decoder d(body);
-  return DecodeOid(&d);
-}
-
-Result<Oid> RemoteSession::RecordStep(
-    labbase::ClassId step_class, Timestamp time,
-    const std::vector<labbase::StepEffect>& effects) {
-  Encoder e;
-  e.PutU32(step_class);
-  EncodeTimestamp(&e, time);
-  EncodeStepEffects(&e, effects);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kRecordStep, e.buffer()));
-  ++stats_.steps_recorded;
-  Decoder d(body);
-  return DecodeOid(&d);
-}
-
-Result<Value> RemoteSession::MostRecent(Oid material, labbase::AttrId attr) {
-  ++stats_.most_recent_queries;
-  Encoder e;
-  EncodeOid(&e, material);
-  e.PutU32(attr);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kMostRecent, e.buffer()));
-  Decoder d(body);
-  return d.GetValue();
-}
-
-Result<Value> RemoteSession::MostRecent(Oid material,
-                                        std::string_view attr_name) {
-  ++stats_.most_recent_queries;
-  Encoder e;
-  EncodeOid(&e, material);
-  e.PutString(attr_name);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kMostRecentByName, e.buffer()));
-  Decoder d(body);
-  return d.GetValue();
-}
-
-Result<std::vector<labbase::HistoryEntry>> RemoteSession::History(
-    Oid material, labbase::AttrId attr) {
-  ++stats_.history_queries;
-  Encoder e;
-  EncodeOid(&e, material);
-  e.PutU32(attr);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kHistory, e.buffer()));
-  Decoder d(body);
-  return DecodeHistoryEntries(&d);
-}
-
-Result<Value> RemoteSession::ValueAsOf(Oid material, labbase::AttrId attr,
-                                       Timestamp at) {
-  ++stats_.history_queries;
-  Encoder e;
-  EncodeOid(&e, material);
-  e.PutU32(attr);
-  EncodeTimestamp(&e, at);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kValueAsOf, e.buffer()));
-  Decoder d(body);
-  return d.GetValue();
-}
-
-Result<std::vector<labbase::HistoryEntry>> RemoteSession::HistoryBetween(
-    Oid material, labbase::AttrId attr, Timestamp from, Timestamp to) {
-  ++stats_.history_queries;
-  Encoder e;
-  EncodeOid(&e, material);
-  e.PutU32(attr);
-  EncodeTimestamp(&e, from);
-  EncodeTimestamp(&e, to);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kHistoryBetween, e.buffer()));
-  Decoder d(body);
-  return DecodeHistoryEntries(&d);
-}
-
-Result<labbase::MaterialInfo> RemoteSession::GetMaterial(Oid material) {
-  Encoder e;
-  EncodeOid(&e, material);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kGetMaterial, e.buffer()));
-  Decoder d(body);
-  return DecodeMaterialInfo(&d);
-}
-
-Result<labbase::StepInfo> RemoteSession::GetStep(Oid step) {
-  Encoder e;
-  EncodeOid(&e, step);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kGetStep, e.buffer()));
-  Decoder d(body);
-  return DecodeStepInfo(&d);
-}
-
-Result<Oid> RemoteSession::FindMaterialByName(std::string_view name) {
-  Encoder e;
-  e.PutString(name);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kFindMaterialByName, e.buffer()));
-  Decoder d(body);
-  return DecodeOid(&d);
-}
-
-Result<labbase::StateId> RemoteSession::CurrentState(Oid material) {
-  ++stats_.state_queries;
-  Encoder e;
-  EncodeOid(&e, material);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kCurrentState, e.buffer()));
-  Decoder d(body);
-  return d.GetU32();
-}
-
-Result<std::vector<Oid>> RemoteSession::MaterialsInState(
-    labbase::StateId state) {
-  ++stats_.state_queries;
-  Encoder e;
-  e.PutU32(state);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kMaterialsInState, e.buffer()));
-  Decoder d(body);
-  return DecodeOids(&d);
-}
-
-Result<int64_t> RemoteSession::CountInState(labbase::StateId state) {
-  ++stats_.state_queries;
-  Encoder e;
-  e.PutU32(state);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kCountInState, e.buffer()));
-  Decoder d(body);
-  return d.GetI64();
-}
-
-Result<std::vector<Oid>> RemoteSession::MaterialsOfClass(
-    labbase::ClassId material_class) {
-  ++stats_.state_queries;
-  Encoder e;
-  e.PutU32(material_class);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kMaterialsOfClass, e.buffer()));
-  Decoder d(body);
-  return DecodeOids(&d);
-}
-
-Result<std::vector<Oid>> RemoteSession::ListSteps() {
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kListSteps, {}));
-  Decoder d(body);
-  return DecodeOids(&d);
-}
-
-Result<Oid> RemoteSession::CreateSet(std::string_view name) {
-  ++stats_.set_operations;
-  Encoder e;
-  e.PutString(name);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kCreateSet, e.buffer()));
-  Decoder d(body);
-  return DecodeOid(&d);
-}
-
-Status RemoteSession::AddToSet(Oid set, Oid material) {
-  ++stats_.set_operations;
-  Encoder e;
-  EncodeOid(&e, set);
-  EncodeOid(&e, material);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kAddToSet, e.buffer()));
-  (void)body;
-  return Status::OK();
-}
-
-Status RemoteSession::RemoveFromSet(Oid set, Oid material) {
-  ++stats_.set_operations;
-  Encoder e;
-  EncodeOid(&e, set);
-  EncodeOid(&e, material);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kRemoveFromSet, e.buffer()));
-  (void)body;
-  return Status::OK();
-}
-
-Result<std::vector<Oid>> RemoteSession::SetMembers(Oid set) {
-  ++stats_.set_operations;
-  Encoder e;
-  EncodeOid(&e, set);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kSetMembers, e.buffer()));
-  Decoder d(body);
-  return DecodeOids(&d);
-}
-
-Result<Oid> RemoteSession::FindSetByName(std::string_view name) {
-  ++stats_.set_operations;
-  Encoder e;
-  e.PutString(name);
-  LABFLOW_ASSIGN_OR_RETURN(std::string body,
-                           Call(Op::kFindSetByName, e.buffer()));
-  Decoder d(body);
-  return DecodeOid(&d);
-}
-
-Status RemoteSession::Checkpoint() {
-  LABFLOW_ASSIGN_OR_RETURN(std::string body, Call(Op::kCheckpoint, {}));
-  (void)body;
-  return Status::OK();
-}
+#define LABFLOW_REMOTE_STUB(Name, code, Method, kind, tally, Ret, params, \
+                            args)                                        \
+  Ret RemoteSession::Method params {                                     \
+    return Invoke<Ret, Op::k##Name, OpKind::kind, tally> args;           \
+  }
+LABFLOW_WIRE_OPS(LABFLOW_WIRE_SKIP, LABFLOW_REMOTE_STUB)
+#undef LABFLOW_REMOTE_STUB
 
 }  // namespace labflow::net

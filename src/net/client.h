@@ -103,54 +103,15 @@ class RemoteSession : public labbase::SessionIface {
   /// Best-effort kSessionClose so the server can recycle the lease.
   ~RemoteSession() override;
 
-  Status Begin() override;
-  Status BeginReadOnly() override;
-  Status Commit() override;
-  Status Abort() override;
+#define LABFLOW_REMOTE_STUB(Name, code, Method, kind, tally, Ret, params, \
+                            args)                                        \
+  Ret Method params override;
+  LABFLOW_WIRE_OPS(LABFLOW_WIRE_SKIP, LABFLOW_REMOTE_STUB)
+#undef LABFLOW_REMOTE_STUB
+
   bool in_transaction() const override { return in_txn_; }
   Status RunTransaction(const std::function<Status()>& body) override;
-
-  Result<labbase::ClassId> DefineMaterialClass(std::string_view name) override;
-  Result<labbase::ClassId> DefineStepClass(
-      std::string_view name,
-      const std::vector<std::string>& attr_names) override;
-  Result<labbase::StateId> DefineState(std::string_view name) override;
   const labbase::Schema& schema() const override { return schema_; }
-
-  Result<Oid> CreateMaterial(labbase::ClassId material_class,
-                             std::string_view name,
-                             labbase::StateId initial_state,
-                             Timestamp created) override;
-  Result<Oid> RecordStep(
-      labbase::ClassId step_class, Timestamp time,
-      const std::vector<labbase::StepEffect>& effects) override;
-
-  Result<Value> MostRecent(Oid material, labbase::AttrId attr) override;
-  Result<Value> MostRecent(Oid material, std::string_view attr_name) override;
-  Result<std::vector<labbase::HistoryEntry>> History(
-      Oid material, labbase::AttrId attr) override;
-  Result<Value> ValueAsOf(Oid material, labbase::AttrId attr,
-                          Timestamp at) override;
-  Result<std::vector<labbase::HistoryEntry>> HistoryBetween(
-      Oid material, labbase::AttrId attr, Timestamp from,
-      Timestamp to) override;
-  Result<labbase::MaterialInfo> GetMaterial(Oid material) override;
-  Result<labbase::StepInfo> GetStep(Oid step) override;
-  Result<Oid> FindMaterialByName(std::string_view name) override;
-  Result<labbase::StateId> CurrentState(Oid material) override;
-  Result<std::vector<Oid>> MaterialsInState(labbase::StateId state) override;
-  Result<int64_t> CountInState(labbase::StateId state) override;
-  Result<std::vector<Oid>> MaterialsOfClass(
-      labbase::ClassId material_class) override;
-  Result<std::vector<Oid>> ListSteps() override;
-
-  Result<Oid> CreateSet(std::string_view name) override;
-  Status AddToSet(Oid set, Oid material) override;
-  Status RemoveFromSet(Oid set, Oid material) override;
-  Result<std::vector<Oid>> SetMembers(Oid set) override;
-  Result<Oid> FindSetByName(std::string_view name) override;
-
-  Status Checkpoint() override;
   const labbase::LabBaseStats& stats() const override { return stats_; }
 
   uint64_t session_id() const { return session_id_; }
@@ -159,12 +120,11 @@ class RemoteSession : public labbase::SessionIface {
   RemoteSession(Connection* conn, uint64_t session_id)
       : conn_(conn), session_id_(session_id) {}
 
-  Result<std::string> Call(Op op, std::string_view body) {
-    return conn_->Call(op, session_id_, body);
-  }
-  /// Decodes a DDL response: id (u32) followed by the updated schema blob,
-  /// which replaces the cache.
-  Result<uint32_t> DdlCall(Op op, std::string_view body);
+  /// The body of every generated stub: encodes `args`, calls `kOp`, and
+  /// decodes the OK body as Ret (see LABFLOW_WIRE_OPS for kKind, kTally).
+  template <typename Ret, Op kOp, OpKind kKind, const Tally& kTally,
+            typename... A>
+  Ret Invoke(const A&... args);
 
   Connection* const conn_;
   const uint64_t session_id_;

@@ -10,6 +10,9 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
+#include <tuple>
+#include <type_traits>
 
 #include "common/status_macros.h"
 
@@ -28,41 +31,13 @@ Status Errno(const char* what) {
   return Status::IOError(std::string(what) + ": " + std::strerror(errno));
 }
 
-/// Compile-time dispatch inventory: one entry per opcode HandleFrame (or
-/// RouteFrame, for connection-scope ops) implements. A new opcode bumps
-/// wire.h's kOpCount, so forgetting the dispatch arm — and this list —
-/// fails the build here; the `opcode-sync` lint cross-checks that the
-/// entries below correspond to real `case Op::k...` arms.
-constexpr Op kDispatchedOps[] = {
-    Op::kPing,          Op::kSessionOpen,
-    Op::kSessionClose,  Op::kBegin,
-    Op::kCommit,        Op::kAbort,
-    Op::kDefineMaterialClass, Op::kDefineStepClass,
-    Op::kDefineState,   Op::kGetSchema,
-    Op::kCreateMaterial, Op::kRecordStep,
-    Op::kMostRecent,    Op::kMostRecentByName,
-    Op::kValueAsOf,     Op::kHistory,
-    Op::kHistoryBetween, Op::kGetMaterial,
-    Op::kGetStep,       Op::kFindMaterialByName,
-    Op::kCurrentState,  Op::kMaterialsInState,
-    Op::kCountInState,  Op::kMaterialsOfClass,
-    Op::kCreateSet,     Op::kAddToSet,
-    Op::kRemoveFromSet, Op::kSetMembers,
-    Op::kFindSetByName, Op::kCheckpoint,
-    Op::kServerStats,   Op::kBeginReadOnly,
-    Op::kListSteps,
-};
-static_assert(std::size(kDispatchedOps) == kOpCount,
-              "opcode added to net/wire.h without a server dispatch arm: "
-              "implement it in HandleFrame and record it in kDispatchedOps");
-
 }  // namespace
 
 /// One live session behind the wire: its pool lease plus the FIFO of
 /// frames waiting to execute on it. For kControlSession `lease` is empty.
 struct Server::SessionState {
   LabBase::SessionPool::Lease lease;
-  std::deque<std::string> pending;
+  std::deque<PendingFrame> pending;
   /// True while a worker owns this session's FIFO (it drains one frame at
   /// a time, re-enqueueing itself while pending is non-empty).
   bool running = false;
@@ -388,17 +363,9 @@ void Server::RouteFrame(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-  uint64_t key;
-  switch (header->op) {
-    case Op::kPing:
-    case Op::kSessionOpen:
-    case Op::kServerStats:
-      key = kControlSession;
-      break;
-    default:
-      key = header->session_id;
-      break;
-  }
+  const uint64_t key = InfoOf(header->op).scope == OpScope::kControl
+                           ? kControlSession
+                           : header->session_id;
 
   // Count the frame in-flight BEFORE publishing it to a session FIFO: a
   // worker already draining that FIFO may execute and count it down
@@ -428,7 +395,9 @@ void Server::RouteFrame(const std::shared_ptr<Connection>& conn,
         AppendFrame(&conn->out, e.buffer());
         direct_reply = true;
       } else {
-        it->second->pending.push_back(std::move(frame));
+        const size_t body_at = frame.size() - d.remaining();
+        it->second->pending.push_back(
+            PendingFrame{*header, std::move(frame), body_at});
         consumed = true;
         if (!it->second->running) {
           it->second->running = true;
@@ -452,7 +421,6 @@ void Server::RouteFrame(const std::shared_ptr<Connection>& conn,
 }
 
 bool Server::FlushConnection(const std::shared_ptr<Connection>& conn) {
-  size_t sent_total = 0;
   while (true) {
     std::string chunk;
     {
@@ -469,7 +437,6 @@ bool Server::FlushConnection(const std::shared_ptr<Connection>& conn) {
     if (n > 0) {
       MutexLock l(conn->mu);
       conn->out.erase(0, static_cast<size_t>(n));
-      sent_total += static_cast<size_t>(n);
       if (static_cast<size_t>(n) < chunk.size()) {
         conn->want_write = true;
         UpdateInterest(conn);
@@ -509,7 +476,6 @@ bool Server::FlushConnection(const std::shared_ptr<Connection>& conn) {
     }
   }
   if (changed) UpdateInterest(conn);
-  (void)sent_total;
   return true;
 }
 
@@ -558,16 +524,14 @@ void Server::WorkerMain() {
     // Drain this session's FIFO one frame at a time. Between frames the
     // lock is dropped, so responses interleave fairly across sessions.
     while (true) {
-      std::string frame;
-      bool dead;
+      PendingFrame frame;
+      bool have_frame = false;
       {
         MutexLock l(work.conn->mu);
-        dead = work.conn->dead;
         auto it = work.conn->sessions.find(work.session_key);
         if (it == work.conn->sessions.end() || it->second->pending.empty()) {
           if (it != work.conn->sessions.end()) it->second->running = false;
-          frame.clear();
-        } else if (dead) {
+        } else if (work.conn->dead) {
           // Count down the frames we are about to drop.
           size_t dropped = it->second->pending.size();
           it->second->pending.clear();
@@ -575,13 +539,13 @@ void Server::WorkerMain() {
           MutexLock ql(queue_mu_);
           inflight_ -= dropped;
           if (inflight_ == 0 && queue_.empty()) drain_cv_.NotifyAll();
-          frame.clear();
         } else {
           frame = std::move(it->second->pending.front());
           it->second->pending.pop_front();
+          have_frame = true;
         }
       }
-      if (frame.empty()) break;
+      if (!have_frame) break;
 
       std::string response = HandleFrame(work.conn, work.session_key, frame);
 
@@ -622,379 +586,199 @@ std::string RespondStatus(uint64_t request_id, const Status& st) {
 
 }  // namespace
 
+/// One request on its way through a handler. `session` is resolved for
+/// session-scope ops only.
+struct Server::Request {
+  const std::shared_ptr<Connection>& conn;
+  uint64_t session_key;
+  uint64_t id;
+  Decoder body;
+  labbase::SessionIface* session = nullptr;
+};
+
+namespace {
+
+/// The wire types of a SessionIface method's parameters, as a tuple the
+/// request body decodes into.
+template <typename M>
+struct MethodTraits;
+template <typename R, typename... P>
+struct MethodTraits<R (labbase::SessionIface::*)(P...)> {
+  using Args = std::tuple<WireType<P>...>;
+};
+
+template <typename T>
+Status Assign(Result<T> r, T* out) {
+  if (!r.ok()) return r.status();
+  *out = std::move(r).value();
+  return Status::OK();
+}
+
+/// Decodes the request arguments in order, stopping at the first error.
+template <typename... T>
+Status DecodeArgs(Decoder* d, std::tuple<T...>* args) {
+  Status st;
+  std::apply(
+      [&](T&... arg) {
+        ((st.ok() ? void(st = Assign(Wire<T>::Get(d), &arg)) : void()), ...);
+      },
+      *args);
+  return st;
+}
+
+}  // namespace
+
 std::string Server::HandleFrame(const std::shared_ptr<Connection>& conn,
                                 uint64_t session_key,
-                                const std::string& frame) {
-  Decoder d(frame);
-  Result<RequestHeader> hr = DecodeRequestHeader(&d);
-  if (!hr.ok()) return RespondStatus(0, hr.status());
-  const RequestHeader& h = hr.value();
-  const uint64_t id = h.request_id;
+                                const PendingFrame& frame) {
+#define LABFLOW_HAND_HANDLER(Name, code, scope) &Server::Handle##Name,
+#define LABFLOW_CALL_HANDLER(Name, code, Method, kind, tally, Ret, params, \
+                             args)                                        \
+  &Server::HandleCall<OpKind::kind,                                       \
+                      static_cast<Ret(labbase::SessionIface::*) params>(  \
+                          &labbase::SessionIface::Method)>,
+  static constexpr std::string (Server::*kHandlers[])(Request&) = {
+      LABFLOW_WIRE_OPS(LABFLOW_HAND_HANDLER, LABFLOW_CALL_HANDLER)};
+#undef LABFLOW_HAND_HANDLER
+#undef LABFLOW_CALL_HANDLER
+  // Every row expands to a handler that must compile: a HAND row without
+  // its Server::Handle<Name>, or a CALL row whose SessionIface method does
+  // not match, fails the build here.
+  static_assert(std::size(kHandlers) == kOpCount,
+                "every wire op needs a server handler");
 
-  // Connection-scope ops need no lease.
-  switch (h.op) {
-    case Op::kPing:
-      return Respond(id, Status::OK(),
-                     [](Encoder* e) { e->PutU32(kProtocolVersion); });
-    case Op::kServerStats: {
-      WireServerStats s;
-      if (mgr_ != nullptr) {
-        storage::StorageStats st = mgr_->stats();
-        s.disk_reads = st.disk_reads;
-        s.disk_writes = st.disk_writes;
-        s.cache_hits = st.cache_hits;
-        s.txn_commits = st.txn_commits;
-        s.db_size_bytes = st.db_size_bytes;
-        s.wal_bytes = st.wal_bytes;
-        s.lsm_memtable_bytes = st.lsm_memtable_bytes;
-        s.lsm_level_files = st.lsm_level_files;
-        s.lsm_compaction_bytes_read = st.lsm_compaction_bytes_read;
-        s.lsm_compaction_bytes_written = st.lsm_compaction_bytes_written;
-        s.lsm_bloom_checks = st.lsm_bloom_checks;
-        s.lsm_bloom_hits = st.lsm_bloom_hits;
-        s.lsm_write_throttles = st.lsm_write_throttles;
+  const RequestHeader& h = frame.header;
+  Request r{conn, session_key, h.request_id,
+            Decoder(std::string_view(frame.bytes).substr(frame.body_at))};
+  if (InfoOf(h.op).scope == OpScope::kSession) {
+    // Resolve the lease. The running flag guarantees this worker is the
+    // only thread touching the session, so the pointer stays valid outside
+    // the map lock.
+    {
+      MutexLock l(conn->mu);
+      auto it = conn->sessions.find(session_key);
+      if (it != conn->sessions.end() && it->second->lease.valid()) {
+        r.session = it->second->lease.get();
       }
-      return Respond(id, Status::OK(),
-                     [&s](Encoder* e) { EncodeServerStats(e, s); });
     }
-    case Op::kSessionOpen: {
-      Result<uint32_t> ver = d.GetU32();
-      if (!ver.ok()) return RespondStatus(id, ver.status());
-      if (ver.value() != kProtocolVersion) {
-        return RespondStatus(
-            id, Status::InvalidArgument(
-                    "protocol version mismatch: client " +
-                    std::to_string(ver.value()) + ", server " +
-                    std::to_string(kProtocolVersion)));
-      }
-      LabBase::SessionPool::Lease lease = pool_.Acquire();
-      if (!lease.valid()) {
-        return RespondStatus(id, Status::Unavailable("session pool closed"));
-      }
-      std::string schema_blob = lease->schema().Encode();
-      uint64_t session_id;
-      {
-        MutexLock l(conn->mu);
-        if (conn->dead) {
-          // Lease dtor returns it to the pool.
-          return RespondStatus(id, Status::Unavailable("connection closed"));
-        }
-        session_id = conn->next_session_id++;
-        auto state = std::make_unique<SessionState>();
-        state->lease = std::move(lease);
-        conn->sessions.emplace(session_id, std::move(state));
-      }
-      return Respond(id, Status::OK(), [&](Encoder* e) {
-        e->PutU64(session_id);
-        e->PutString(schema_blob);
-      });
-    }
-    default:
-      break;
-  }
-
-  // Session-scope ops: resolve the lease. The running flag guarantees this
-  // worker is the only thread touching the session, so the pointer stays
-  // valid outside the map lock.
-  labbase::SessionIface* session = nullptr;
-  {
-    MutexLock l(conn->mu);
-    auto it = conn->sessions.find(session_key);
-    if (it != conn->sessions.end() && it->second->lease.valid()) {
-      session = it->second->lease.get();
+    if (r.session == nullptr) {
+      return RespondStatus(r.id, Status::NotFound("unknown session " +
+                                                  std::to_string(h.session_id)));
     }
   }
-  if (session == nullptr) {
+  return (this->*kHandlers[static_cast<uint8_t>(h.op) - kMinOp])(r);
+}
+
+template <OpKind kKind, auto kMethod>
+std::string Server::HandleCall(Request& r) {
+  typename MethodTraits<decltype(kMethod)>::Args args;
+  if (Status st = DecodeArgs(&r.body, &args); !st.ok()) {
+    return RespondStatus(r.id, st);
+  }
+  auto result = std::apply(
+      [&](auto&... arg) { return (r.session->*kMethod)(arg...); }, args);
+  if constexpr (std::is_same_v<decltype(result), Status>) {
+    return RespondStatus(r.id, result);
+  } else {
+    if (!result.ok()) return RespondStatus(r.id, result.status());
+    using T = std::remove_cvref_t<decltype(result.value())>;
+    return Respond(r.id, Status::OK(), [&](Encoder* e) {
+      Wire<T>::Put(e, result.value());
+      if constexpr (kKind == OpKind::kDefine) {
+        e->PutString(r.session->schema().Encode());
+      }
+    });
+  }
+}
+
+std::string Server::HandlePing(Request& r) {
+  return Respond(r.id, Status::OK(),
+                 [](Encoder* e) { e->PutU32(kProtocolVersion); });
+}
+
+std::string Server::HandleServerStats(Request& r) {
+  WireServerStats s;
+  if (mgr_ != nullptr) {
+    storage::StorageStats st = mgr_->stats();
+    s.disk_reads = st.disk_reads;
+    s.disk_writes = st.disk_writes;
+    s.cache_hits = st.cache_hits;
+    s.txn_commits = st.txn_commits;
+    s.db_size_bytes = st.db_size_bytes;
+    s.wal_bytes = st.wal_bytes;
+    s.lsm_memtable_bytes = st.lsm_memtable_bytes;
+    s.lsm_level_files = st.lsm_level_files;
+    s.lsm_compaction_bytes_read = st.lsm_compaction_bytes_read;
+    s.lsm_compaction_bytes_written = st.lsm_compaction_bytes_written;
+    s.lsm_bloom_checks = st.lsm_bloom_checks;
+    s.lsm_bloom_hits = st.lsm_bloom_hits;
+    s.lsm_write_throttles = st.lsm_write_throttles;
+  }
+  return Respond(r.id, Status::OK(),
+                 [&s](Encoder* e) { EncodeServerStats(e, s); });
+}
+
+std::string Server::HandleSessionOpen(Request& r) {
+  Result<uint32_t> ver = r.body.GetU32();
+  if (!ver.ok()) return RespondStatus(r.id, ver.status());
+  if (ver.value() != kProtocolVersion) {
     return RespondStatus(
-        id, Status::NotFound("unknown session " + std::to_string(h.session_id)));
+        r.id, Status::InvalidArgument("protocol version mismatch: client " +
+                                      std::to_string(ver.value()) +
+                                      ", server " +
+                                      std::to_string(kProtocolVersion)));
   }
-
-  switch (h.op) {
-    case Op::kSessionClose: {
-      // Abort an open transaction explicitly (releasing mid-txn would
-      // discard the pooled session; an explicit abort lets it be reused).
-      if (session->in_transaction()) {
-        LABFLOW_IGNORE_STATUS(session->Abort(),
-                              "closing session; abort failure changes nothing");
-      }
-      {
-        MutexLock l(conn->mu);
-        auto it = conn->sessions.find(session_key);
-        if (it != conn->sessions.end()) {
-          // Frames pipelined behind a close are dropped; their responses
-          // would name a session that no longer exists.
-          size_t dropped = it->second->pending.size();
-          conn->sessions.erase(it);
-          if (dropped > 0) {
-            MutexLock ql(queue_mu_);
-            inflight_ -= dropped;
-            if (inflight_ == 0 && queue_.empty()) drain_cv_.NotifyAll();
-          }
-        }
-      }
-      return RespondStatus(id, Status::OK());
-    }
-    case Op::kBegin:
-      return RespondStatus(id, session->Begin());
-    case Op::kBeginReadOnly:
-      return RespondStatus(id, session->BeginReadOnly());
-    case Op::kCommit:
-      return RespondStatus(id, session->Commit());
-    case Op::kAbort:
-      return RespondStatus(id, session->Abort());
-    case Op::kCheckpoint:
-      return RespondStatus(id, session->Checkpoint());
-
-    case Op::kDefineMaterialClass: {
-      Result<std::string> name = d.GetString();
-      if (!name.ok()) return RespondStatus(id, name.status());
-      Result<labbase::ClassId> cid = session->DefineMaterialClass(name.value());
-      if (!cid.ok()) return RespondStatus(id, cid.status());
-      std::string blob = session->schema().Encode();
-      return Respond(id, Status::OK(), [&](Encoder* e) {
-        e->PutU32(cid.value());
-        e->PutString(blob);
-      });
-    }
-    case Op::kDefineStepClass: {
-      Result<std::string> name = d.GetString();
-      if (!name.ok()) return RespondStatus(id, name.status());
-      Result<uint64_t> n = d.GetU64();
-      if (!n.ok()) return RespondStatus(id, n.status());
-      if (n.value() > d.remaining()) {
-        return RespondStatus(id, Status::Corruption("attr count too large"));
-      }
-      std::vector<std::string> attrs;
-      attrs.reserve(n.value());
-      for (uint64_t i = 0; i < n.value(); ++i) {
-        Result<std::string> attr = d.GetString();
-        if (!attr.ok()) return RespondStatus(id, attr.status());
-        attrs.push_back(std::move(attr.value()));
-      }
-      Result<labbase::ClassId> cid =
-          session->DefineStepClass(name.value(), attrs);
-      if (!cid.ok()) return RespondStatus(id, cid.status());
-      std::string blob = session->schema().Encode();
-      return Respond(id, Status::OK(), [&](Encoder* e) {
-        e->PutU32(cid.value());
-        e->PutString(blob);
-      });
-    }
-    case Op::kDefineState: {
-      Result<std::string> name = d.GetString();
-      if (!name.ok()) return RespondStatus(id, name.status());
-      Result<labbase::StateId> sid = session->DefineState(name.value());
-      if (!sid.ok()) return RespondStatus(id, sid.status());
-      std::string blob = session->schema().Encode();
-      return Respond(id, Status::OK(), [&](Encoder* e) {
-        e->PutU32(sid.value());
-        e->PutString(blob);
-      });
-    }
-    case Op::kGetSchema: {
-      std::string blob = session->schema().Encode();
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { e->PutString(blob); });
-    }
-
-    case Op::kCreateMaterial: {
-      Result<uint32_t> cls = d.GetU32();
-      if (!cls.ok()) return RespondStatus(id, cls.status());
-      Result<std::string> name = d.GetString();
-      if (!name.ok()) return RespondStatus(id, name.status());
-      Result<uint32_t> state = d.GetU32();
-      if (!state.ok()) return RespondStatus(id, state.status());
-      Result<Timestamp> created = DecodeTimestamp(&d);
-      if (!created.ok()) return RespondStatus(id, created.status());
-      Result<Oid> oid = session->CreateMaterial(cls.value(), name.value(),
-                                                state.value(), created.value());
-      if (!oid.ok()) return RespondStatus(id, oid.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { EncodeOid(e, oid.value()); });
-    }
-    case Op::kRecordStep: {
-      Result<uint32_t> cls = d.GetU32();
-      if (!cls.ok()) return RespondStatus(id, cls.status());
-      Result<Timestamp> time = DecodeTimestamp(&d);
-      if (!time.ok()) return RespondStatus(id, time.status());
-      Result<std::vector<labbase::StepEffect>> effects = DecodeStepEffects(&d);
-      if (!effects.ok()) return RespondStatus(id, effects.status());
-      Result<Oid> oid =
-          session->RecordStep(cls.value(), time.value(), effects.value());
-      if (!oid.ok()) return RespondStatus(id, oid.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { EncodeOid(e, oid.value()); });
-    }
-
-    case Op::kMostRecent: {
-      Result<Oid> m = DecodeOid(&d);
-      if (!m.ok()) return RespondStatus(id, m.status());
-      Result<uint32_t> attr = d.GetU32();
-      if (!attr.ok()) return RespondStatus(id, attr.status());
-      Result<Value> v = session->MostRecent(m.value(), attr.value());
-      if (!v.ok()) return RespondStatus(id, v.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { e->PutValue(v.value()); });
-    }
-    case Op::kMostRecentByName: {
-      Result<Oid> m = DecodeOid(&d);
-      if (!m.ok()) return RespondStatus(id, m.status());
-      Result<std::string> attr = d.GetString();
-      if (!attr.ok()) return RespondStatus(id, attr.status());
-      Result<Value> v = session->MostRecent(m.value(), attr.value());
-      if (!v.ok()) return RespondStatus(id, v.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { e->PutValue(v.value()); });
-    }
-    case Op::kValueAsOf: {
-      Result<Oid> m = DecodeOid(&d);
-      if (!m.ok()) return RespondStatus(id, m.status());
-      Result<uint32_t> attr = d.GetU32();
-      if (!attr.ok()) return RespondStatus(id, attr.status());
-      Result<Timestamp> at = DecodeTimestamp(&d);
-      if (!at.ok()) return RespondStatus(id, at.status());
-      Result<Value> v = session->ValueAsOf(m.value(), attr.value(), at.value());
-      if (!v.ok()) return RespondStatus(id, v.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { e->PutValue(v.value()); });
-    }
-    case Op::kHistory: {
-      Result<Oid> m = DecodeOid(&d);
-      if (!m.ok()) return RespondStatus(id, m.status());
-      Result<uint32_t> attr = d.GetU32();
-      if (!attr.ok()) return RespondStatus(id, attr.status());
-      Result<std::vector<labbase::HistoryEntry>> hist =
-          session->History(m.value(), attr.value());
-      if (!hist.ok()) return RespondStatus(id, hist.status());
-      return Respond(id, Status::OK(), [&](Encoder* e) {
-        EncodeHistoryEntries(e, hist.value());
-      });
-    }
-    case Op::kHistoryBetween: {
-      Result<Oid> m = DecodeOid(&d);
-      if (!m.ok()) return RespondStatus(id, m.status());
-      Result<uint32_t> attr = d.GetU32();
-      if (!attr.ok()) return RespondStatus(id, attr.status());
-      Result<Timestamp> from = DecodeTimestamp(&d);
-      if (!from.ok()) return RespondStatus(id, from.status());
-      Result<Timestamp> to = DecodeTimestamp(&d);
-      if (!to.ok()) return RespondStatus(id, to.status());
-      Result<std::vector<labbase::HistoryEntry>> hist = session->HistoryBetween(
-          m.value(), attr.value(), from.value(), to.value());
-      if (!hist.ok()) return RespondStatus(id, hist.status());
-      return Respond(id, Status::OK(), [&](Encoder* e) {
-        EncodeHistoryEntries(e, hist.value());
-      });
-    }
-    case Op::kGetMaterial: {
-      Result<Oid> m = DecodeOid(&d);
-      if (!m.ok()) return RespondStatus(id, m.status());
-      Result<labbase::MaterialInfo> info = session->GetMaterial(m.value());
-      if (!info.ok()) return RespondStatus(id, info.status());
-      return Respond(id, Status::OK(), [&](Encoder* e) {
-        EncodeMaterialInfo(e, info.value());
-      });
-    }
-    case Op::kGetStep: {
-      Result<Oid> s = DecodeOid(&d);
-      if (!s.ok()) return RespondStatus(id, s.status());
-      Result<labbase::StepInfo> info = session->GetStep(s.value());
-      if (!info.ok()) return RespondStatus(id, info.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { EncodeStepInfo(e, info.value()); });
-    }
-    case Op::kFindMaterialByName: {
-      Result<std::string> name = d.GetString();
-      if (!name.ok()) return RespondStatus(id, name.status());
-      Result<Oid> oid = session->FindMaterialByName(name.value());
-      if (!oid.ok()) return RespondStatus(id, oid.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { EncodeOid(e, oid.value()); });
-    }
-    case Op::kCurrentState: {
-      Result<Oid> m = DecodeOid(&d);
-      if (!m.ok()) return RespondStatus(id, m.status());
-      Result<labbase::StateId> state = session->CurrentState(m.value());
-      if (!state.ok()) return RespondStatus(id, state.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { e->PutU32(state.value()); });
-    }
-    case Op::kMaterialsInState: {
-      Result<uint32_t> state = d.GetU32();
-      if (!state.ok()) return RespondStatus(id, state.status());
-      Result<std::vector<Oid>> oids = session->MaterialsInState(state.value());
-      if (!oids.ok()) return RespondStatus(id, oids.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { EncodeOids(e, oids.value()); });
-    }
-    case Op::kCountInState: {
-      Result<uint32_t> state = d.GetU32();
-      if (!state.ok()) return RespondStatus(id, state.status());
-      Result<int64_t> n = session->CountInState(state.value());
-      if (!n.ok()) return RespondStatus(id, n.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { e->PutI64(n.value()); });
-    }
-    case Op::kMaterialsOfClass: {
-      Result<uint32_t> cls = d.GetU32();
-      if (!cls.ok()) return RespondStatus(id, cls.status());
-      Result<std::vector<Oid>> oids = session->MaterialsOfClass(cls.value());
-      if (!oids.ok()) return RespondStatus(id, oids.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { EncodeOids(e, oids.value()); });
-    }
-
-    case Op::kListSteps: {
-      Result<std::vector<Oid>> oids = session->ListSteps();
-      if (!oids.ok()) return RespondStatus(id, oids.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { EncodeOids(e, oids.value()); });
-    }
-
-    case Op::kCreateSet: {
-      Result<std::string> name = d.GetString();
-      if (!name.ok()) return RespondStatus(id, name.status());
-      Result<Oid> oid = session->CreateSet(name.value());
-      if (!oid.ok()) return RespondStatus(id, oid.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { EncodeOid(e, oid.value()); });
-    }
-    case Op::kAddToSet: {
-      Result<Oid> set = DecodeOid(&d);
-      if (!set.ok()) return RespondStatus(id, set.status());
-      Result<Oid> m = DecodeOid(&d);
-      if (!m.ok()) return RespondStatus(id, m.status());
-      return RespondStatus(id, session->AddToSet(set.value(), m.value()));
-    }
-    case Op::kRemoveFromSet: {
-      Result<Oid> set = DecodeOid(&d);
-      if (!set.ok()) return RespondStatus(id, set.status());
-      Result<Oid> m = DecodeOid(&d);
-      if (!m.ok()) return RespondStatus(id, m.status());
-      return RespondStatus(id, session->RemoveFromSet(set.value(), m.value()));
-    }
-    case Op::kSetMembers: {
-      Result<Oid> set = DecodeOid(&d);
-      if (!set.ok()) return RespondStatus(id, set.status());
-      Result<std::vector<Oid>> members = session->SetMembers(set.value());
-      if (!members.ok()) return RespondStatus(id, members.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { EncodeOids(e, members.value()); });
-    }
-    case Op::kFindSetByName: {
-      Result<std::string> name = d.GetString();
-      if (!name.ok()) return RespondStatus(id, name.status());
-      Result<Oid> oid = session->FindSetByName(name.value());
-      if (!oid.ok()) return RespondStatus(id, oid.status());
-      return Respond(id, Status::OK(),
-                     [&](Encoder* e) { EncodeOid(e, oid.value()); });
-    }
-
-    default:
-      return RespondStatus(
-          id, Status::InvalidArgument("op " + std::string(OpName(h.op)) +
-                                      " not valid here"));
+  LabBase::SessionPool::Lease lease = pool_.Acquire();
+  if (!lease.valid()) {
+    return RespondStatus(r.id, Status::Unavailable("session pool closed"));
   }
+  std::string schema_blob = lease->schema().Encode();
+  uint64_t session_id;
+  {
+    MutexLock l(r.conn->mu);
+    if (r.conn->dead) {
+      // Lease dtor returns it to the pool.
+      return RespondStatus(r.id, Status::Unavailable("connection closed"));
+    }
+    session_id = r.conn->next_session_id++;
+    auto state = std::make_unique<SessionState>();
+    state->lease = std::move(lease);
+    r.conn->sessions.emplace(session_id, std::move(state));
+  }
+  return Respond(r.id, Status::OK(), [&](Encoder* e) {
+    e->PutU64(session_id);
+    e->PutString(schema_blob);
+  });
+}
+
+std::string Server::HandleSessionClose(Request& r) {
+  // Abort an open transaction explicitly (releasing mid-txn would discard
+  // the pooled session; an explicit abort lets it be reused).
+  if (r.session->in_transaction()) {
+    LABFLOW_IGNORE_STATUS(r.session->Abort(),
+                          "closing session; abort failure changes nothing");
+  }
+  {
+    MutexLock l(r.conn->mu);
+    auto it = r.conn->sessions.find(r.session_key);
+    if (it != r.conn->sessions.end()) {
+      // Frames pipelined behind a close are dropped; their responses would
+      // name a session that no longer exists.
+      size_t dropped = it->second->pending.size();
+      r.conn->sessions.erase(it);
+      if (dropped > 0) {
+        MutexLock ql(queue_mu_);
+        inflight_ -= dropped;
+        if (inflight_ == 0 && queue_.empty()) drain_cv_.NotifyAll();
+      }
+    }
+  }
+  return RespondStatus(r.id, Status::OK());
+}
+
+std::string Server::HandleGetSchema(Request& r) {
+  std::string blob = r.session->schema().Encode();
+  return Respond(r.id, Status::OK(), [&](Encoder* e) { e->PutString(blob); });
 }
 
 }  // namespace labflow::net

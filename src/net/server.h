@@ -80,6 +80,14 @@ class Server {
  private:
   struct SessionState;
   struct Connection;
+  struct Request;
+  /// A received request: its header, parsed once by RouteFrame, and the
+  /// frame bytes, of which the body starts at `body_at`.
+  struct PendingFrame {
+    RequestHeader header;
+    std::string bytes;
+    size_t body_at = 0;
+  };
   struct Work {
     std::shared_ptr<Connection> conn;
     uint64_t session_key = 0;
@@ -95,9 +103,19 @@ class Server {
   void CloseConnection(const std::shared_ptr<Connection>& conn);
   void RouteFrame(const std::shared_ptr<Connection>& conn, std::string frame);
 
-  /// Executes one decoded request; returns the full response payload.
+  /// Executes one request; returns the full response payload.
   std::string HandleFrame(const std::shared_ptr<Connection>& conn,
-                          uint64_t session_key, const std::string& frame);
+                          uint64_t session_key, const PendingFrame& frame);
+
+  // One handler per wire op (see LABFLOW_WIRE_OPS): the HAND rows below,
+  // and HandleCall, instantiated for every CALL row.
+  std::string HandlePing(Request& r);
+  std::string HandleSessionOpen(Request& r);
+  std::string HandleSessionClose(Request& r);
+  std::string HandleGetSchema(Request& r);
+  std::string HandleServerStats(Request& r);
+  template <OpKind kKind, auto kMethod>
+  std::string HandleCall(Request& r);
 
   void EnqueueWork(const std::shared_ptr<Connection>& conn,
                    uint64_t session_key);

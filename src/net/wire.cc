@@ -4,45 +4,6 @@
 
 namespace labflow::net {
 
-std::string_view OpName(Op op) {
-  switch (op) {
-    case Op::kPing: return "Ping";
-    case Op::kSessionOpen: return "SessionOpen";
-    case Op::kSessionClose: return "SessionClose";
-    case Op::kBegin: return "Begin";
-    case Op::kCommit: return "Commit";
-    case Op::kAbort: return "Abort";
-    case Op::kDefineMaterialClass: return "DefineMaterialClass";
-    case Op::kDefineStepClass: return "DefineStepClass";
-    case Op::kDefineState: return "DefineState";
-    case Op::kGetSchema: return "GetSchema";
-    case Op::kCreateMaterial: return "CreateMaterial";
-    case Op::kRecordStep: return "RecordStep";
-    case Op::kMostRecent: return "MostRecent";
-    case Op::kMostRecentByName: return "MostRecentByName";
-    case Op::kValueAsOf: return "ValueAsOf";
-    case Op::kHistory: return "History";
-    case Op::kHistoryBetween: return "HistoryBetween";
-    case Op::kGetMaterial: return "GetMaterial";
-    case Op::kGetStep: return "GetStep";
-    case Op::kFindMaterialByName: return "FindMaterialByName";
-    case Op::kCurrentState: return "CurrentState";
-    case Op::kMaterialsInState: return "MaterialsInState";
-    case Op::kCountInState: return "CountInState";
-    case Op::kMaterialsOfClass: return "MaterialsOfClass";
-    case Op::kCreateSet: return "CreateSet";
-    case Op::kAddToSet: return "AddToSet";
-    case Op::kRemoveFromSet: return "RemoveFromSet";
-    case Op::kSetMembers: return "SetMembers";
-    case Op::kFindSetByName: return "FindSetByName";
-    case Op::kCheckpoint: return "Checkpoint";
-    case Op::kServerStats: return "ServerStats";
-    case Op::kBeginReadOnly: return "BeginReadOnly";
-    case Op::kListSteps: return "ListSteps";
-  }
-  return "UnknownOp";
-}
-
 void AppendFrame(std::string* wire, std::string_view payload) {
   Encoder len;
   len.PutU64(payload.size());
@@ -304,6 +265,22 @@ Result<std::vector<labbase::StepEffect>> DecodeStepEffects(Decoder* d) {
       effect.tags.push_back(std::move(tag));
     }
     out.push_back(std::move(effect));
+  }
+  return out;
+}
+
+void EncodeStrings(Encoder* e, const std::vector<std::string>& strings) {
+  e->PutU64(strings.size());
+  for (const std::string& s : strings) e->PutString(s);
+}
+
+Result<std::vector<std::string>> DecodeStrings(Decoder* d) {
+  LABFLOW_ASSIGN_OR_RETURN(uint64_t n, GetCount(d));
+  std::vector<std::string> out;
+  out.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    LABFLOW_ASSIGN_OR_RETURN(std::string s, d->GetString());
+    out.push_back(std::move(s));
   }
   return out;
 }

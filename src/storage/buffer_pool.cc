@@ -122,6 +122,22 @@ Result<BufferPool::PinGuard> BufferPool::NewPage() {
   LABFLOW_ASSIGN_OR_RETURN(uint64_t page_no, file_->AppendPage());
   Shard& s = ShardFor(page_no);
   LockShard(s);
+  // AppendPage published the page before we got here, so a concurrent
+  // Fetch (a scan of the newest page) may already own a frame for it. One
+  // frame per page: wait for that load and share it — it holds the same
+  // zeroed bytes.
+  for (auto it = s.frames.find(page_no); it != s.frames.end();
+       it = s.frames.find(page_no)) {
+    Frame* f = it->second.get();
+    if (f->state_ == Frame::State::kReady) {
+      f->pin_count_.fetch_add(1, std::memory_order_relaxed);
+      f->MarkDirty();
+      TouchLocked(s, f);
+      s.mu.Unlock();
+      return PinGuard(this, f);
+    }
+    s.cv.Wait(s.mu);
+  }
   auto owned = std::make_unique<Frame>();
   owned->data_ = std::make_unique<char[]>(kPageSize);
   std::memset(owned->data_.get(), 0, kPageSize);

@@ -267,5 +267,56 @@ TEST_F(BufferPoolConcurrencyTest, SlowFlushDoesNotBlockHits) {
   EXPECT_EQ(pool.stats().disk_writes, 1u);
 }
 
+// PageFile::AppendPage publishes the new page count before NewPage installs
+// the page's frame, so a scanner fetching the newest page can load it in
+// that window. NewPage must then hand out that same frame: a second frame
+// for the page would be dropped by the map and left dangling in the
+// caller's guard (a use-after-free under ASan, lost writes without it).
+TEST_F(BufferPoolConcurrencyTest, NewPageRacesFetchOfNewestPage) {
+  constexpr int kNewPages = 3000;
+  constexpr int kReaders = 3;
+  OpenFile(1);
+  BufferPool pool(&file_, /*capacity_pages=*/64, /*fault_delay_us=*/0,
+                  /*shards=*/1);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        auto g = pool.Fetch(file_.page_count() - 1);
+        if (!g.ok() && !g.status().IsResourceExhausted()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kNewPages; ++i) {
+    auto g = pool.NewPage();
+    if (!g.ok()) {
+      failures.fetch_add(1);
+      continue;
+    }
+    WriterMutexLock l(g->frame()->latch());
+    g->frame()->data()[0] = static_cast<char>('a' + i % 26);
+    g->frame()->MarkDirty();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& th : readers) th.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  // Every write went through the one frame the pool keeps for its page.
+  ASSERT_TRUE(pool.FlushAll().ok());
+  ASSERT_TRUE(pool.DropClean().ok());
+  for (int i = 0; i < kNewPages; ++i) {
+    auto g = pool.Fetch(1 + static_cast<uint64_t>(i));
+    ASSERT_TRUE(g.ok());
+    ReaderMutexLock l(g->frame()->latch());
+    ASSERT_EQ(g->frame()->data()[0], static_cast<char>('a' + i % 26))
+        << "page " << (1 + i);
+  }
+}
+
 }  // namespace
 }  // namespace labflow
